@@ -6,12 +6,13 @@
 # (`make bench-json` is the full measurement), an end-to-end smoke of
 # the simulation service (`make serve-smoke`), a sharded-execution
 # smoke (`make shard-smoke`), a jittered barrier stress under the race
-# detector (`make shard-stress`), and a checkpoint/restore smoke
-# (`make snapshot-smoke`).
+# detector (`make shard-stress`), a checkpoint/restore smoke
+# (`make snapshot-smoke`), and the benchmark's byte-identity gate plus its
+# own tests (`make perfbench-check`).
 
 GO ?= go
 
-.PHONY: all build test vet fmt test-race test-poolcheck lint lint-fix-list metrics-schema metrics-schema-check bench-json bench-smoke serve-smoke shard-smoke shard-stress snapshot-smoke check
+.PHONY: all build test vet fmt test-race test-poolcheck lint lint-fix-list metrics-schema metrics-schema-check bench-json bench-smoke serve-smoke shard-smoke shard-stress snapshot-smoke perfbench-check check
 
 all: build
 
@@ -98,6 +99,14 @@ snapshot-smoke:
 serve-smoke:
 	$(GO) run ./cmd/simserver -selftest
 
+# The benchmark's correctness gate: one pass of every perfbench workload on
+# the pinned seed, each simulated output required to match its stored
+# digest in perfbench/digests.json, then the benchmark module's own tests
+# (perfbench is a separate Go module, outside `go test ./...`).
+perfbench-check:
+	bash perfbench/run.sh --check --workload all --seed 42
+	cd perfbench && $(GO) test ./...
+
 # Regenerate the metric-name table of METRICS.md from the registry.
 metrics-schema:
 	$(GO) run ./cmd/metricsdoc
@@ -106,4 +115,4 @@ metrics-schema:
 metrics-schema-check:
 	$(GO) run ./cmd/metricsdoc -check
 
-check: fmt vet lint build test test-poolcheck test-race metrics-schema-check bench-smoke serve-smoke shard-smoke shard-stress snapshot-smoke
+check: fmt vet lint build test test-poolcheck test-race metrics-schema-check bench-smoke serve-smoke shard-smoke shard-stress snapshot-smoke perfbench-check

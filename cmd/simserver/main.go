@@ -70,12 +70,30 @@ func main() {
 	}
 }
 
+// Connection timeouts. A client gets readHeaderTimeout to send its request
+// headers, so a stalled or slow-dripping connection cannot hold a server
+// goroutine forever, and an idle keep-alive connection is closed after
+// idleTimeout. There is deliberately no write timeout: a miss answers only
+// when its simulation ends, and a streamed run stays open for its whole
+// length.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in an http.Server with the
+// connection timeouts above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // run serves until a shutdown signal, then drains: admission stops (503),
 // in-flight runs finish, the listener closes. A second signal — or the
 // drain timeout — aborts the in-flight runs through their run context.
 func run(addr string, opts serve.Options, drainFor time.Duration) error {
 	srv := serve.New(opts)
-	hs := &http.Server{Addr: addr, Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
+	hs.Addr = addr
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -121,7 +139,7 @@ func runSelftest(opts serve.Options) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	go hs.Serve(ln)
 	base := "http://" + ln.Addr().String()
 	defer hs.Close()
@@ -189,7 +207,7 @@ func runSelftest(opts serve.Options) error {
 	if err != nil {
 		return err
 	}
-	hs2 := &http.Server{Handler: srv2.Handler()}
+	hs2 := newHTTPServer(srv2.Handler())
 	go hs2.Serve(ln2)
 	defer hs2.Close()
 	c3, b3, err := postTo("http://" + ln2.Addr().String())

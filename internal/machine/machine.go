@@ -514,7 +514,9 @@ func (m *Machine) RunContext(ctx context.Context, maxCycles sim.Cycle) (sim.Cycl
 // the system; if a writable copy exists the home directory is Dirty with
 // that node as owner; every cached copy's node is in the home's sharer
 // vector (stale sharers are allowed — silent drops); no busy directory
-// states; per-node L1 contents are included in the L2; no leaked MSHRs.
+// states; per-node L1 contents are included in the L2; no leaked MSHRs;
+// every maintained pipeline occupancy and MC queue count equals a
+// recomputing scan.
 func (m *Machine) CheckCoherence() error {
 	type copyInfo struct {
 		node  addrmap.NodeID
@@ -533,6 +535,9 @@ func (m *Machine) CheckCoherence() error {
 		}
 		if err := n.Pipe.CheckNoLeaks(); err != nil {
 			return fmt.Errorf("node %d: %w", nid, err)
+		}
+		if err := n.MC.CheckCounts(); err != nil {
+			return fmt.Errorf("node %d: memory controller: %w", nid, err)
 		}
 	}
 	// Iterate lines in sorted order so the first violation reported (and

@@ -9,6 +9,7 @@
 package memctrl
 
 import (
+	"fmt"
 	"strings"
 
 	"smtpsim/internal/addrmap"
@@ -76,6 +77,7 @@ type MC struct {
 	in         [network.NumVCs]msgRing
 	localFirst bool
 	queued     int // live messages across local+in (excludes in-transit slots)
+	localLive  int // non-nil entries of local (the queue.local depth)
 
 	// Allocation-free dispatch machinery: handled messages are released to
 	// the machine's pool, handler traces append into recycled buffers
@@ -135,13 +137,7 @@ func (mc *MC) RegisterMetrics(s *stats.Scope) {
 // of elided ticks when the kernel skips an idle window, during which the
 // queues are necessarily frozen).
 func (mc *MC) sampleQueuesN(count uint64) {
-	n := 0
-	for i := range mc.local {
-		if mc.local[i] != nil {
-			n++
-		}
-	}
-	mc.localDepth.SampleN(n, count)
+	mc.localDepth.SampleN(mc.localLive, count)
 	for vc := range mc.in {
 		mc.vcDepth[vc].SampleN(mc.in[vc].size, count)
 	}
@@ -225,10 +221,12 @@ func (mc *MC) enqueueLocalReady(m *network.Message) {
 	}
 	mc.local = append(mc.local, m)
 	mc.queued++
+	mc.localLive++
 }
 
 func (mc *MC) localDeferred(m *network.Message) {
 	mc.queued++
+	mc.localLive++
 	for i := range mc.local {
 		if mc.local[i] == nil {
 			mc.local[i] = m
@@ -249,6 +247,34 @@ func (mc *MC) EnqueueNet(m *network.Message) {
 // QueuedMessages reports the total queued (drain checking).
 func (mc *MC) QueuedMessages() int {
 	return mc.queued
+}
+
+// CheckCounts compares the maintained queue counts with a recomputing scan
+// of the queues they summarize.
+func (mc *MC) CheckCounts() error {
+	live := countLive(mc.local)
+	if mc.localLive != live {
+		return fmt.Errorf("local queue count %d, queue holds %d messages", mc.localLive, live)
+	}
+	for vc := range mc.in {
+		live += mc.in[vc].size
+	}
+	if mc.queued != live {
+		return fmt.Errorf("queued count %d, queues hold %d messages", mc.queued, live)
+	}
+	return nil
+}
+
+// countLive counts the messages in a local queue, skipping slots held for
+// requests still crossing the system bus.
+func countLive(q []*network.Message) int {
+	n := 0
+	for _, m := range q {
+		if m != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // sdramRead starts (or merges into) a read of line, returning the cycle the
@@ -336,6 +362,7 @@ func (mc *MC) popLocal() *network.Message {
 		if m != nil {
 			mc.local = append(mc.local[:i], mc.local[i+1:]...)
 			mc.queued--
+			mc.localLive--
 			return m
 		}
 	}

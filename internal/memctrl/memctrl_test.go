@@ -342,3 +342,36 @@ func TestDispatchCountsAndDrain(t *testing.T) {
 }
 
 func (n *testNode) LocalMissOutstanding(line uint64) bool { return false }
+
+// TestQueueCountsMatchScan checks the maintained local-queue and total
+// counts against a recomputing scan after every cycle while requests
+// cross a non-integrated controller's system bus (slots held empty while
+// in transit) and dispatch, and that a drifted count is reported.
+func TestQueueCountsMatchScan(t *testing.T) {
+	cfg := defCfg()
+	cfg.PIExtraCycles = 40
+	r := newRig(t, 1, cfg)
+	mc := r.mcs[0]
+	sawTransit, sawLive := false, false
+	for c := 0; c < 3000; c++ {
+		if c < 400 && c%25 == 0 {
+			mc.EnqueueLocal(piMsg(coherence.MsgPIRead, uint64(c)*128, 0))
+		}
+		r.eng.Step()
+		if err := mc.CheckCounts(); err != nil {
+			t.Fatalf("cycle %d: %v", c, err)
+		}
+		sawTransit = sawTransit || mc.localLive < len(mc.local)
+		sawLive = sawLive || mc.localLive > 0
+	}
+	if !sawTransit || !sawLive {
+		t.Fatalf("queue never held both in-transit slots (%v) and live requests (%v)", sawTransit, sawLive)
+	}
+	if mc.QueuedMessages() != 0 || len(mc.local) != 0 {
+		t.Fatal("queues must drain")
+	}
+	mc.localLive++
+	if mc.CheckCounts() == nil {
+		t.Fatal("drifted local count not reported")
+	}
+}

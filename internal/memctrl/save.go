@@ -189,6 +189,10 @@ func (mc *MC) LoadState(d *snapshot.Decoder) {
 	}
 	mc.localFirst = d.Bool()
 	mc.queued = d.Int()
+	mc.localLive = countLive(mc.local)
+	if err := mc.CheckCounts(); d.Err() == nil && err != nil {
+		d.Fail("%v", err)
+	}
 	mc.sdramBusy = sim.Cycle(d.U64())
 	mc.protoBusy = sim.Cycle(d.U64())
 

@@ -77,6 +77,7 @@ func (p *Pipeline) retire(u *uop, t *thread, now sim.Cycle) {
 	if u.inLSQ {
 		p.lsq = removeUop(p.lsq, u)
 		u.inLSQ = false
+		t.occ.lsq--
 	}
 	if u.counted {
 		u.counted = false

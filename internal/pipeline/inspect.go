@@ -39,8 +39,12 @@ func (p *Pipeline) CheckInclusion() error {
 }
 
 // CheckNoLeaks verifies that no transaction state is left over after a
-// quiesced run.
+// quiesced run, and that the maintained occupancy counts agree with the
+// structures they summarize.
 func (p *Pipeline) CheckNoLeaks() error {
+	if err := p.checkOcc(); err != nil {
+		return err
+	}
 	if n := p.mshr.InUse(); n != 0 {
 		return fmt.Errorf("%d MSHRs leaked", n)
 	}
@@ -63,6 +67,45 @@ func (p *Pipeline) CheckNoLeaks() error {
 	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
 	if len(lines) > 0 {
 		return fmt.Errorf("line %#x still expects %d invalidation acks", lines[0], p.acksWanted[lines[0]])
+	}
+	return nil
+}
+
+// countOcc recomputes thread tid's occupancy by scanning the structures:
+// the reference the maintained counts (thread.occ) must always equal.
+func (p *Pipeline) countOcc(tid int) occupancy {
+	var o occupancy
+	for i := range p.ckptsArr {
+		if p.ckptsArr[i].valid && p.ckptsArr[i].tid == tid {
+			o.brStack++
+		}
+	}
+	t := p.threads[tid]
+	for i := 0; i < t.robCount; i++ {
+		if u := t.rob[(t.robHead+i)%len(t.rob)]; u != nil && holdsIntReg(u) {
+			o.intRegs++
+		}
+	}
+	for _, u := range p.intQ {
+		if u.tid == tid {
+			o.iq++
+		}
+	}
+	for _, u := range p.lsq {
+		if u.tid == tid {
+			o.lsq++
+		}
+	}
+	return o
+}
+
+// checkOcc compares every context's maintained occupancy counts with a
+// recomputing scan.
+func (p *Pipeline) checkOcc() error {
+	for _, t := range p.threads {
+		if want := p.countOcc(t.id); t.occ != want {
+			return fmt.Errorf("thread %d occupancy counts %+v, structures hold %+v", t.id, t.occ, want)
+		}
 	}
 	return nil
 }

@@ -9,8 +9,8 @@ import (
 // by functional units) and from the load/store queue (bounded by the single
 // address-calculation ALU), oldest first.
 func (p *Pipeline) issue(now sim.Cycle) {
-	p.issueQueue(&p.intQ, p.cfg.IntALUs, now)
-	p.issueQueue(&p.fpQ, p.cfg.FPUs, now)
+	p.issueQueue(&p.intQ, true, p.cfg.IntALUs, now)
+	p.issueQueue(&p.fpQ, false, p.cfg.FPUs, now)
 	p.issueMem(now)
 }
 
@@ -28,7 +28,9 @@ func sortBySeq(us []*uop) {
 	}
 }
 
-func (p *Pipeline) issueQueue(q *[]*uop, units int, now sim.Cycle) {
+// issueQueue issues from *q; isIntQ says whether it is the integer queue,
+// whose per-context occupancy counts (occupancy.iq) follow removals.
+func (p *Pipeline) issueQueue(q *[]*uop, isIntQ bool, units int, now sim.Cycle) {
 	if len(*q) == 0 {
 		return
 	}
@@ -38,6 +40,9 @@ func (p *Pipeline) issueQueue(q *[]*uop, units int, now sim.Cycle) {
 	kept := (*q)[:0]
 	for _, u := range *q {
 		if u.squashed {
+			if isIntQ {
+				p.threads[u.tid].occ.iq--
+			}
 			continue
 		}
 		kept = append(kept, u)
@@ -58,7 +63,11 @@ func (p *Pipeline) issueQueue(q *[]*uop, units int, now sim.Cycle) {
 		u.issued = true
 		u.inIQ = false
 		*q = removeUop(*q, u)
-		p.noteIssued(p.threads[u.tid], u)
+		t := p.threads[u.tid]
+		if isIntQ {
+			t.occ.iq--
+		}
+		p.noteIssued(t, u)
 		// Two operand-read stages then the functional unit.
 		lat := u.in.Op.Latency()
 		if p.cfg.SlowBitOps && u.in.Op == isa.OpBitOp {
@@ -205,9 +214,12 @@ func (p *Pipeline) squashAfter(t *thread, u *uop) {
 		if v.inLSQ {
 			p.lsq = removeUop(p.lsq, v)
 			v.inLSQ = false
+			t.occ.lsq--
 		}
 		if v.inIQ {
+			before := len(p.intQ)
 			p.intQ = removeUop(p.intQ, v)
+			t.occ.iq -= before - len(p.intQ)
 			p.fpQ = removeUop(p.fpQ, v)
 			v.inIQ = false
 		}

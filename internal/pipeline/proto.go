@@ -210,40 +210,12 @@ func (p *Pipeline) sampleStats(now sim.Cycle, n uint64) {
 	}
 	if p.proto.active() {
 		p.ProtoActiveCyc += n
-		pt := p.threads[p.ProtoTID()]
-		// Branch-stack entries held by the protocol thread.
-		brs := 0
-		if p.ckptsArr != nil {
-			for i := range p.ckptsArr {
-				if p.ckptsArr[i].valid && p.ckptsArr[i].tid == pt.id {
-					brs++
-				}
-			}
-		}
-		p.ProtoOccBrStack.SampleN(brs, n)
+		occ := &p.threads[p.ProtoTID()].occ
+		p.ProtoOccBrStack.SampleN(occ.brStack, n)
 		// Integer registers: the 32 architecturally mapped plus in-flight
 		// renames not yet released.
-		regs := 32
-		for i := 0; i < pt.robCount; i++ {
-			u := pt.rob[(pt.robHead+i)%len(pt.rob)]
-			if u != nil && u.physDst >= 0 && !u.in.Dst.IsFP() {
-				regs++
-			}
-		}
-		p.ProtoOccIntReg.SampleN(regs, n)
-		iq := 0
-		for _, u := range p.intQ {
-			if u.tid == pt.id {
-				iq++
-			}
-		}
-		p.ProtoOccIQ.SampleN(iq, n)
-		lsq := 0
-		for _, u := range p.lsq {
-			if u.tid == pt.id {
-				lsq++
-			}
-		}
-		p.ProtoOccLSQ.SampleN(lsq, n)
+		p.ProtoOccIntReg.SampleN(32+occ.intRegs, n)
+		p.ProtoOccIQ.SampleN(occ.iq, n)
+		p.ProtoOccLSQ.SampleN(occ.lsq, n)
 	}
 }

@@ -32,6 +32,7 @@ func (p *Pipeline) ckptAlloc(t *thread) int {
 			c.maps = t.mapTable
 			c.ras = t.ras.Checkpoint()
 			p.brStackUsed++
+			t.occ.brStack++
 			return i
 		}
 	}
@@ -44,6 +45,7 @@ func (p *Pipeline) ckptFree(idx int) {
 	}
 	p.ckptsArr[idx].valid = false
 	p.brStackUsed--
+	p.threads[p.ckptsArr[idx].tid].occ.brStack--
 }
 
 func (p *Pipeline) ckptRestore(t *thread, idx int) {
@@ -227,12 +229,14 @@ func (p *Pipeline) tryRename(u *uop, now sim.Cycle) bool {
 	case u.in.Op.IsMem():
 		u.inLSQ = true
 		p.lsq = append(p.lsq, u)
+		t.occ.lsq++
 	case u.in.Op.IsFPOp():
 		u.inIQ = true
 		p.fpQ = append(p.fpQ, u)
 	case needsIQ(u.in.Op):
 		u.inIQ = true
 		p.intQ = append(p.intQ, u)
+		t.occ.iq++
 	default:
 		// Nop / SyncWait: nothing to execute; any destination is ready at
 		// once so dependents never wait on it.

@@ -381,6 +381,13 @@ func (t *tlb) loadState(d *snapshot.Decoder) {
 	t.last = d.Int()
 	t.Hits = d.U64()
 	t.Misses = d.U64()
+	if d.Err() == nil && (t.last < 0 || t.last >= len(t.pages)) {
+		d.Fail("tlb last entry %d out of range 0..%d", t.last, len(t.pages)-1)
+		return
+	}
+	if dup := t.reindex(); dup >= 0 {
+		d.Fail("tlb holds page %#x twice", t.pages[dup])
+	}
 }
 
 func (f *freeList) saveState(e *snapshot.Encoder) {
@@ -748,6 +755,12 @@ func (p *Pipeline) LoadState(d *snapshot.Decoder, loadInstr func(*snapshot.Decod
 		ps.HandlersDispatched = d.U64()
 		ps.LookAheadStarts = d.U64()
 		ps.SwitchStallCycles = d.U64()
+	}
+
+	// Occupancy counts are derived state, recomputed once the ROB, queues
+	// and branch stack are back.
+	for _, t := range p.threads {
+		t.occ = p.countOcc(t.id)
 	}
 
 	p.commitRR = d.Int()

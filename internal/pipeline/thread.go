@@ -35,7 +35,23 @@ type thread struct {
 	// ICOUNT: instructions in the front-end (decode/rename queues + issue
 	// queues), per the ICOUNT.2.8 policy.
 	frontCount int
+
+	// occ is this context's share of the shared structures, kept current
+	// at every site that changes them so per-cycle sampling reads counts
+	// instead of scanning.
+	occ occupancy
 }
+
+// occupancy is a context's resource holdings (paper Table 9): branch-stack
+// checkpoints, active-list entries holding an integer rename, and integer
+// issue-queue and load/store-queue entries.
+type occupancy struct {
+	brStack, intRegs, iq, lsq int
+}
+
+// holdsIntReg reports whether u, while on the active list, holds an integer
+// rename register.
+func holdsIntReg(u *uop) bool { return u.physDst >= 0 && !u.in.Dst.IsFP() }
 
 func newThread(id int, isProtocol bool, cfg Config) *thread {
 	return &thread{
@@ -54,6 +70,9 @@ func (t *thread) robPush(u *uop) {
 	}
 	t.rob[(t.robHead+t.robCount)%len(t.rob)] = u
 	t.robCount++
+	if holdsIntReg(u) {
+		t.occ.intRegs++
+	}
 }
 
 func (t *thread) robPeek() *uop {
@@ -71,6 +90,9 @@ func (t *thread) robPop() *uop {
 	t.rob[t.robHead] = nil
 	t.robHead = (t.robHead + 1) % len(t.rob)
 	t.robCount--
+	if holdsIntReg(u) {
+		t.occ.intRegs--
+	}
 	return u
 }
 
@@ -83,6 +105,9 @@ func (t *thread) robTailPop() *uop {
 	u := t.rob[idx]
 	t.rob[idx] = nil
 	t.robCount--
+	if holdsIntReg(u) {
+		t.occ.intRegs--
+	}
 	return u
 }
 
