@@ -7,12 +7,13 @@
 # the simulation service (`make serve-smoke`), a sharded-execution
 # smoke (`make shard-smoke`), a jittered barrier stress under the race
 # detector (`make shard-stress`), a checkpoint/restore smoke
-# (`make snapshot-smoke`), and the benchmark's byte-identity gate plus its
-# own tests (`make perfbench-check`).
+# (`make snapshot-smoke`), a short native-fuzzing run of snapshot restore
+# (`make fuzz-smoke`), and the benchmark's byte-identity gate plus its own
+# tests (`make perfbench-check`).
 
 GO ?= go
 
-.PHONY: all build test vet fmt test-race test-poolcheck lint lint-fix-list metrics-schema metrics-schema-check bench-json bench-smoke serve-smoke shard-smoke shard-stress snapshot-smoke perfbench-check check
+.PHONY: all build test vet fmt test-race test-poolcheck lint lint-fix-list metrics-schema metrics-schema-check bench-json bench-smoke serve-smoke shard-smoke shard-stress snapshot-smoke fuzz-smoke perfbench-check check
 
 all: build
 
@@ -93,6 +94,13 @@ snapshot-smoke:
 	$(GO) run ./cmd/smtpsim -model SMTp -app fft -nodes 4 -scale 0.25 -shards 2 -restore /tmp/smtpsim_ck.bin -metrics /tmp/smtpsim_resumed.json >/dev/null
 	cmp /tmp/smtpsim_full.json /tmp/smtpsim_resumed.json
 
+# Short native-fuzzing run of snapshot restore: mutated snapshots of a
+# committed seed (internal/machine/testdata/fuzz/) must make
+# Machine.Restore return, with or without an error, and never panic.
+# `smtpsim -restore` and `simserver -cache-dir` decode such files from disk.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzMachineRestore -fuzztime 10s ./internal/machine
+
 # End-to-end smoke of the simulation service: boot simserver on a loopback
 # port, submit the same spec twice, require the second response to be a
 # byte-identical cache hit (the content-address contract of DESIGN.md §12).
@@ -115,4 +123,4 @@ metrics-schema:
 metrics-schema-check:
 	$(GO) run ./cmd/metricsdoc -check
 
-check: fmt vet lint build test test-poolcheck test-race metrics-schema-check bench-smoke serve-smoke shard-smoke shard-stress snapshot-smoke perfbench-check
+check: fmt vet lint build test test-poolcheck test-race metrics-schema-check bench-smoke serve-smoke shard-smoke shard-stress snapshot-smoke fuzz-smoke perfbench-check

@@ -130,6 +130,8 @@ func DirAddrOf(addr uint64, nodes int) uint64 {
 // slab pointers. A value access is therefore two shifts, a mask and two
 // slice indexes — no hashing, no map.
 const (
+	addrBits = 48
+
 	SlabShift = 16
 	SlabSize  = 1 << SlabShift // backing-store slab (64 KiB)
 	slabMask  = SlabSize - 1

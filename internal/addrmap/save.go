@@ -44,6 +44,10 @@ func (m *Memory) LoadState(d *snapshot.Decoder) {
 			d.Fail("slab %d/%d has %d bytes, want %d", hi, mid, len(b), SlabSize)
 			return
 		}
+		if hi < 0 || hi >= 1<<(addrBits-groupShift) || mid < 0 || mid >= groupSlabs {
+			d.Fail("slab %d/%d lies outside the %d-bit address space", hi, mid, addrBits)
+			return
+		}
 		addr := uint64(hi)<<groupShift | uint64(mid)<<SlabShift
 		s := m.slabOf(addr, true)
 		copy(s[:], b)

@@ -106,8 +106,8 @@ func loadMSHREntry(d *snapshot.Decoder, m *MSHREntry, loadWaiter func(*snapshot.
 	m.AcksLeft = d.Int()
 	m.Gen = d.U64()
 	m.storeSlot = d.Bool()
-	n := d.Int()
-	if d.Err() != nil || n <= 0 {
+	n := d.Count(1)
+	if n == 0 {
 		return
 	}
 	m.Waiters = make([]interface{}, 0, n)

@@ -161,10 +161,6 @@ type Program struct {
 	Code []PInstr
 }
 
-// maxTraceLen bounds interpreter output as a safety net against authoring
-// bugs (runaway loops).
-const maxTraceLen = 4096
-
 // Execute interprets the program against ctx, returning the executed-path
 // dynamic trace. Semantic actions run in program order; the final two
 // instructions of every program are the switch/ldctxt pair appended by the
@@ -180,8 +176,9 @@ func (p *Program) ExecuteInto(c *Ctx, out []isa.Instr) []isa.Instr {
 	out = out[:0]
 	slot := 0
 	for slot < len(p.Code) {
-		if len(out) >= maxTraceLen {
-			panic(fmt.Sprintf("coherence: handler %s trace exceeds %d instructions", p.Name, maxTraceLen))
+		// A safety net against authoring bugs (runaway loops).
+		if len(out) >= isa.MaxTraceLen {
+			panic(fmt.Sprintf("coherence: handler %s trace exceeds %d instructions", p.Name, isa.MaxTraceLen))
 		}
 		pi := &p.Code[slot]
 		in := isa.Instr{

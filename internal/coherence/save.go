@@ -117,8 +117,8 @@ func SaveTrace(e *snapshot.Encoder, trace []isa.Instr) {
 
 // LoadTrace rebuilds a trace saved by SaveTrace.
 func LoadTrace(d *snapshot.Decoder, pool *network.Pool) []isa.Instr {
-	n := d.Int()
-	if d.Err() != nil || n < 0 {
+	n := d.Count(1)
+	if d.Err() != nil {
 		return nil
 	}
 	trace := make([]isa.Instr, 0, n)

@@ -162,6 +162,11 @@ func (o Op) Pipelined() bool {
 	return true
 }
 
+// MaxTraceLen bounds the length of a protocol handler's dynamic trace:
+// the coherence interpreter refuses to emit more, and a snapshot restore
+// rejects a longer one.
+const MaxTraceLen = 4096
+
 // Flags annotate instructions.
 type Flags uint8
 

@@ -217,7 +217,7 @@ func (m *Machine) Restore(b []byte) error {
 	now := sim.Cycle(d.U64())
 	seq := d.U64()
 	skipped := d.U64()
-	comps := make([]sim.Cycle, 0, d.Int())
+	comps := make([]sim.Cycle, 0, d.Count(8))
 	for i := 0; i < cap(comps) && d.Err() == nil; i++ {
 		comps = append(comps, sim.Cycle(d.U64()))
 	}
@@ -311,8 +311,7 @@ func (m *Machine) rehydrate(at sim.Cycle, pos [3]uint64, seq uint64, desc sim.De
 		if len(m.shards) > 0 {
 			ep = m.epOf(addrmap.NodeID(desc.Owner))
 		}
-		m.Net.RestoreDelivery(ep, at, pos, seq, desc)
-		return nil
+		return m.Net.RestoreDelivery(ep, at, pos, seq, desc)
 	case desc.Kind < network.KDeliver:
 		return m.Nodes[desc.Owner].Pipe.Rehydrate(at, pos, seq, desc)
 	default:

@@ -85,7 +85,7 @@ func (mc *MC) Rehydrate(at sim.Cycle, pos [3]uint64, seq uint64, d sim.Desc) err
 	case KMCDeferred:
 		m := mc.pool.Get()
 		network.UnpackMessage([4]uint64{d.Args[0], d.Args[1], d.Args[2], d.Args[3]}, m)
-		mc.eng.RestoreEvent(at, pos, seq, d, func() { mc.localDeferred(m) })
+		return mc.eng.RestoreEvent(at, pos, seq, d, func() { mc.localDeferred(m) })
 	case KMCFire:
 		f := mc.getFire()
 		f.kind = uint8(d.Args[0])
@@ -103,11 +103,10 @@ func (mc *MC) Rehydrate(at sim.Cycle, pos [3]uint64, seq uint64, d sim.Desc) err
 		default:
 			return fmt.Errorf("memctrl: unknown fire kind %d in descriptor", f.kind)
 		}
-		mc.eng.RestoreEvent(at, pos, seq, d, f.run)
+		return mc.eng.RestoreEvent(at, pos, seq, d, f.run)
 	default:
 		return fmt.Errorf("memctrl: unknown event kind %d", d.Kind)
 	}
-	return nil
 }
 
 // SaveState serializes the controller's queues, SDRAM and bus reservations,

@@ -62,16 +62,15 @@ func UnpackMessage(a [4]uint64, m *Message) {
 // delivery path: nil on a serial machine (the network's own engine and
 // pooled records), or the destination shard's endpoint on a sharded one.
 // The message is rebuilt from the descriptor on the chosen pool.
-func (n *Network) RestoreDelivery(ep *Endpoint, at sim.Cycle, pos [3]uint64, seq uint64, d sim.Desc) {
+func (n *Network) RestoreDelivery(ep *Endpoint, at sim.Cycle, pos [3]uint64, seq uint64, d sim.Desc) error {
 	if ep == nil {
 		m := n.pool.Get()
 		unpackDeliver(d, m)
-		n.eng.RestoreEvent(at, pos, seq, d, n.deliveryFn(m))
-		return
+		return n.eng.RestoreEvent(at, pos, seq, d, n.deliveryFn(m))
 	}
 	m := ep.pool.Get()
 	unpackDeliver(d, m)
-	ep.eng.RestoreEvent(at, pos, seq, d, ep.deliveryFn(m))
+	return ep.eng.RestoreEvent(at, pos, seq, d, ep.deliveryFn(m))
 }
 
 // SaveMessage serializes a message by value for snapshots of component

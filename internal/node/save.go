@@ -56,7 +56,7 @@ func (n *Node) LoadState(d *snapshot.Decoder) {
 	n.parked = make(map[uint64][]*network.Message)
 	for i, nl := 0, d.Int(); i < nl && d.Err() == nil; i++ {
 		line := d.U64()
-		cnt := d.Int()
+		cnt := d.Count(1)
 		msgs := make([]*network.Message, 0, cnt)
 		for j := 0; j < cnt && d.Err() == nil; j++ {
 			msgs = append(msgs, network.LoadMessage(d, n.MC.Pool()))

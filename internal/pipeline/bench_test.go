@@ -117,3 +117,54 @@ func BenchmarkPipelineTickProto(b *testing.B) {
 		b.Fatal("the protocol and application threads must both run")
 	}
 }
+
+// BenchmarkPipelineIssue measures one core cycle of an SMTp core whose
+// application thread has filled the integer issue queue and the
+// load/store queue behind a load miss that never returns, while the
+// protocol thread keeps the core active through its reserved entries:
+// the case in which selection by scanning paid for every waiting entry.
+func BenchmarkPipelineIssue(b *testing.B) {
+	r := newRig(1, true)
+	r.down.auto = false // the miss stays outstanding
+	app := []isa.Instr{{Op: isa.OpLoad, Dst: 1, Addr: 0x80000, Size: 8}}
+	for i := 0; i < 64; i++ {
+		a := 0x40000 + uint64(i%16)*128
+		app = append(app,
+			isa.Instr{Op: isa.OpIntALU, Dst: 2, Src1: 1},
+			isa.Instr{Op: isa.OpStore, Src1: 2, Addr: a + 8, Size: 8},
+			isa.Instr{Op: isa.OpLoad, Dst: 3, Src1: 1, Addr: a, Size: 8},
+		)
+	}
+	app = prog(0x100000, app...)
+	r.warm(app)
+	r.p.SetSource(0, &loopSource{ins: app})
+	handlers := make([][]isa.Instr, 8)
+	for h := range handlers {
+		handlers[h] = branchyHandler(1<<41+uint64(h)*0x400, 2)
+		r.warm(handlers[h])
+	}
+	next := 0
+	tick := func() {
+		if r.p.Backend().CanAccept() {
+			r.p.Backend().Start(handlers[next%len(handlers)])
+			next++
+		}
+		r.eng.Step()
+	}
+	for i := 0; i < 5000; i++ {
+		tick()
+	}
+	if r.p.threads[0].occ.iq < r.p.cfg.IntQ-1 || r.p.threads[0].occ.lsq < r.p.cfg.LSQ-1 {
+		b.Fatalf("application thread holds %+v, want full queues", r.p.threads[0].occ)
+	}
+	retired := r.p.Retired[r.p.ProtoTID()]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tick()
+	}
+	b.StopTimer()
+	if r.p.Retired[r.p.ProtoTID()] == retired {
+		b.Fatal("the protocol thread must keep running")
+	}
+}

@@ -72,12 +72,16 @@ func (p *Pipeline) retire(u *uop, t *thread, now sim.Cycle) {
 	}
 	if u.rdyDst >= 0 {
 		// Uncached loads (switch/ldctxt) produce their value at graduation.
-		p.ready[u.rdyDst] = true
+		p.markReady(u.rdyDst)
 	}
 	if u.inLSQ {
 		p.lsq = removeUop(p.lsq, u)
 		u.inLSQ = false
 		t.occ.lsq--
+		if !u.issued {
+			// A NonSpeculative op executes here, at its memQ head.
+			t.memPopHead()
+		}
 	}
 	if u.counted {
 		u.counted = false

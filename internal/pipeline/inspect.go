@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"smtpsim/internal/cache"
@@ -39,10 +40,13 @@ func (p *Pipeline) CheckInclusion() error {
 }
 
 // CheckNoLeaks verifies that no transaction state is left over after a
-// quiesced run, and that the maintained occupancy counts agree with the
-// structures they summarize.
+// quiesced run, and that the maintained occupancy counts and event-driven
+// issue state agree with the structures they summarize.
 func (p *Pipeline) CheckNoLeaks() error {
 	if err := p.checkOcc(); err != nil {
+		return err
+	}
+	if err := p.checkIssue(); err != nil {
 		return err
 	}
 	if n := p.mshr.InUse(); n != 0 {
@@ -108,6 +112,77 @@ func (p *Pipeline) checkOcc() error {
 		}
 	}
 	return nil
+}
+
+// checkIssue compares the event-driven issue state with a recomputing
+// scan: every IQ uop's pending count against the ready bits and its
+// registrations on the waiter lists, each ready list against the
+// seq-sorted IQ uops with nothing pending, and each context's memQ against
+// its unissued LSQ entries in order. No squashed uop may remain in an
+// issue or load/store queue: squashAfter removes them at once, and the
+// wakeup and memQ bookkeeping rely on it.
+func (p *Pipeline) checkIssue() error {
+	for _, iq := range [2]struct {
+		name     string
+		q, ready []*uop
+	}{{"intQ", p.intQ, p.intReady}, {"fpQ", p.fpQ, p.fpReady}} {
+		var want []*uop
+		for _, u := range iq.q {
+			if u.squashed {
+				return fmt.Errorf("%s holds squashed uop %d", iq.name, u.seq)
+			}
+			var pending int8
+			for _, s := range [2]int16{u.rdySrc1, u.rdySrc2} {
+				if s < 0 || p.ready[s] {
+					continue
+				}
+				pending++
+				regs := 0
+				ws := &p.waiters
+				for e := ws.head[s]; e >= 0; e = ws.pool[e].next {
+					if w := ws.pool[e]; w.u == u && w.seq == u.seq {
+						regs++
+					}
+				}
+				if regs == 0 {
+					return fmt.Errorf("%s uop %d waits on ready bit %d without a waiter entry", iq.name, u.seq, s)
+				}
+			}
+			if u.pending != pending {
+				return fmt.Errorf("%s uop %d pending %d, ready bits leave %d", iq.name, u.seq, u.pending, pending)
+			}
+			if pending == 0 {
+				want = append(want, u)
+			}
+		}
+		sortBySeq(want)
+		if !slices.Equal(iq.ready, want) {
+			return fmt.Errorf("%s ready list %v, ready entries %v", iq.name, uopSeqs(iq.ready), uopSeqs(want))
+		}
+	}
+	memQ := make([][]*uop, len(p.threads))
+	for _, u := range p.lsq {
+		if u.squashed {
+			return fmt.Errorf("lsq holds squashed uop %d", u.seq)
+		}
+		if !u.issued {
+			memQ[u.tid] = append(memQ[u.tid], u)
+		}
+	}
+	for _, t := range p.threads {
+		if !slices.Equal(t.memQ, memQ[t.id]) {
+			return fmt.Errorf("thread %d memQ %v, unissued LSQ entries %v", t.id, uopSeqs(t.memQ), uopSeqs(memQ[t.id]))
+		}
+	}
+	return nil
+}
+
+func uopSeqs(us []*uop) []uint64 {
+	seqs := make([]uint64, len(us))
+	for i, u := range us {
+		seqs[i] = u.seq
+	}
+	return seqs
 }
 
 // MSHRInUse exposes the MSHR load for tests and drain checks.

@@ -162,7 +162,8 @@ func restoreOccRig(t *testing.T, r *occRig) *occRig {
 
 // TestSquashReleasesOccupancy squashes renamed memory and ALU operations
 // directly — the wrong-path dummies fetch synthesizes are ALU-only, so no
-// run squashes a load/store-queue entry — and checks every count follows.
+// run squashes a load/store-queue entry — and checks every count, the
+// ready list and the memQ follow.
 func TestSquashReleasesOccupancy(t *testing.T) {
 	r := newRig(1, true)
 	th := r.p.threads[0]
@@ -188,5 +189,11 @@ func TestSquashReleasesOccupancy(t *testing.T) {
 	}
 	if err := r.p.checkOcc(); err != nil {
 		t.Fatal(err)
+	}
+	if err := r.p.checkIssue(); err != nil {
+		t.Fatal(err)
+	}
+	if len(th.memQ) != 0 || len(r.p.intReady) != 1 || r.p.intReady[0] != br {
+		t.Fatalf("after squash: memQ %v, ready list %v; want only the branch ready", uopSeqs(th.memQ), uopSeqs(r.p.intReady))
 	}
 }

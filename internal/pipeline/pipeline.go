@@ -164,6 +164,7 @@ type uop struct {
 	// Scheduling state.
 	stage      stage
 	inIQ       bool
+	pending    int8 // IQ uops: source operands not yet ready
 	inLSQ      bool
 	issued     bool
 	executed   bool // result produced (or store address ready)
@@ -205,12 +206,17 @@ type Pipeline struct {
 
 	intFree, fpFree *freeList
 	ready           []bool // physical register ready bits (int then fp space)
+	// waiters lists, per ready bit, the IQ uops waiting on it (markReady).
+	waiters wakeups
 
 	decodeQ []*uop
 	renameQ []*uop
 	intQ    []*uop
 	fpQ     []*uop
 	lsq     []*uop
+	// intReady and fpReady hold the intQ and fpQ uops whose sources are
+	// all ready, in seq order: issue takes from their fronts.
+	intReady, fpReady []*uop
 
 	brStackUsed int
 	divBusy     int // unpipelined divides in flight
@@ -254,11 +260,12 @@ type Pipeline struct {
 	// lazyH settles lazily-deferred ticks of this core (nil when the core
 	// is not registered for lazy ticking, e.g. in unit tests).
 	lazyH *sim.TickHandle
+	// beforeIssue, when set, runs at the start of every issue stage (a
+	// test hook; nil in simulation).
+	beforeIssue func()
 
 	// Reused per-cycle scratch (allocation-free steady state).
-	scratch      []*uop
 	memScratch   []*uop
-	seen         []bool
 	fetchCands   []*thread
 	uopPool      []*uop
 	blockedLines []uint64
@@ -339,6 +346,7 @@ func New(cfg Config, eng *sim.Engine, down Downstream, sync SyncChecker) *Pipeli
 	p.intFree = newFreeList(cfg.IntRegs)
 	p.fpFree = newFreeList(cfg.FPRegs)
 	p.ready = make([]bool, cfg.IntRegs+cfg.FPRegs)
+	p.waiters = newWakeups(len(p.ready))
 	for i := 0; i < nctx; i++ {
 		t := newThread(i, cfg.HasProtocol && i == cfg.AppThreads, cfg)
 		// Boot: map all logical registers (the protocol boot sequence
@@ -367,7 +375,6 @@ func New(cfg Config, eng *sim.Engine, down Downstream, sync SyncChecker) *Pipeli
 		p.intFree.reserve(1) // the protocol thread's reserved rename register
 		p.proto = newProtoState(p)
 	}
-	p.seen = make([]bool, nctx)
 	return p
 }
 

@@ -216,6 +216,9 @@ func (p *Pipeline) tryRename(u *uop, now sim.Cycle) bool {
 		t.mapTable[u.in.Dst] = r
 		u.rdyDst = p.readyIndex(u.in.Dst.IsFP(), r)
 		p.ready[u.rdyDst] = false
+		// Every consumer of the register's previous value has graduated or
+		// been squashed, so any waiter entries left on it are stale.
+		p.waiters.clear(u.rdyDst)
 	}
 	if isBranch {
 		u.brCkpt = p.ckptAlloc(t)
@@ -230,19 +233,18 @@ func (p *Pipeline) tryRename(u *uop, now sim.Cycle) bool {
 		u.inLSQ = true
 		p.lsq = append(p.lsq, u)
 		t.occ.lsq++
+		t.memQ = append(t.memQ, u)
 	case u.in.Op.IsFPOp():
-		u.inIQ = true
-		p.fpQ = append(p.fpQ, u)
+		p.enqueueIQ(u)
 	case needsIQ(u.in.Op):
-		u.inIQ = true
-		p.intQ = append(p.intQ, u)
+		p.enqueueIQ(u)
 		t.occ.iq++
 	default:
 		// Nop / SyncWait: nothing to execute; any destination is ready at
 		// once so dependents never wait on it.
 		u.executed = true
 		if u.rdyDst >= 0 {
-			p.ready[u.rdyDst] = true
+			p.markReady(u.rdyDst)
 		}
 		if u.in.Op != isa.OpSyncWait {
 			u.stage = sDone
@@ -281,10 +283,6 @@ func (p *Pipeline) readyIndex(isFP bool, r int16) int16 {
 		return r + int16(p.cfg.IntRegs)
 	}
 	return r
-}
-
-func (p *Pipeline) setReady(isFP bool, r int16, v bool) {
-	p.ready[p.readyIndex(isFP, r)] = v
 }
 
 func (p *Pipeline) isReady(isFP bool, r int16) bool {

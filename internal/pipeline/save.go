@@ -134,11 +134,10 @@ func (p *Pipeline) Rehydrate(at sim.Cycle, pos [3]uint64, seq uint64, d sim.Desc
 	// Every live-path event re-enters through extInput (after/afterDesc wrap
 	// their callback; downstream completions go through settled); rehydrated
 	// closures get the identical wrapper.
-	p.eng.RestoreEvent(at, pos, seq, d, func() {
+	return p.eng.RestoreEvent(at, pos, seq, d, func() {
 		p.extInput()
 		fn()
 	})
-	return nil
 }
 
 // FinishRestore drops restore-only indices once the machine has rehydrated
@@ -267,7 +266,54 @@ func (p *Pipeline) loadUop(d *snapshot.Decoder, loadInstr func(*snapshot.Decoder
 	u.waitingMem = d.Bool()
 	u.polled = d.Bool()
 	u.wrongPath = d.Bool()
+	if d.Err() != nil {
+		return u
+	}
+	if u.tid < 0 || u.tid >= len(p.threads) {
+		d.Fail("uop %d on context %d, core has %d", u.seq, u.tid, len(p.threads))
+	}
+	for _, r := range [3]int16{u.rdySrc1, u.rdySrc2, u.rdyDst} {
+		if r < -1 || int(r) >= len(p.ready) {
+			d.Fail("uop %d register index %d out of range -1..%d", u.seq, r, len(p.ready)-1)
+		}
+	}
 	return u
+}
+
+// rebuildIssue derives the wakeup lists, ready lists and per-context memQs
+// from the restored issue queues, load/store queue and ready bits. It
+// rejects queue entries no run can produce: a squashed or mis-flagged
+// entry, a uop in the wrong issue queue, or a context whose issued memory
+// ops are not a prefix of its LSQ entries (memory ops issue in program
+// order, so memQ is exactly the unissued suffix).
+func (p *Pipeline) rebuildIssue(d *snapshot.Decoder) {
+	p.waiters.reset()
+	p.intReady, p.fpReady = p.intReady[:0], p.fpReady[:0]
+	for _, q := range [2]*[]*uop{&p.intQ, &p.fpQ} {
+		for _, u := range *q {
+			if home, _ := p.queuesOf(u); home != q || !u.inIQ || u.squashed || u.issued {
+				d.Fail("issue queue holds uop %d (%v) that cannot wait there", u.seq, u.in.Op)
+				return
+			}
+			p.watchSources(u)
+		}
+	}
+	for _, t := range p.threads {
+		t.memQ = t.memQ[:0]
+	}
+	for _, u := range p.lsq {
+		t := p.threads[u.tid]
+		switch {
+		case !u.inLSQ || u.squashed || !u.in.Op.IsMem():
+			d.Fail("load/store queue holds uop %d (%v) that cannot wait there", u.seq, u.in.Op)
+			return
+		case !u.issued:
+			t.memQ = append(t.memQ, u)
+		case len(t.memQ) > 0:
+			d.Fail("context %d: issued memory op %d behind unissued op %d", t.id, u.seq, t.memQ[0].seq)
+			return
+		}
+	}
 }
 
 // uopRef resolves a saved uop reference; 0 encodes nil.
@@ -735,11 +781,15 @@ func (p *Pipeline) LoadState(d *snapshot.Decoder, loadInstr func(*snapshot.Decod
 		ps.queue[0] = handlerRun{}
 		ps.queue[1] = handlerRun{}
 		ps.qlen = d.Int()
+		if d.Err() == nil && (ps.qlen < 0 || ps.qlen > len(ps.queue)) {
+			d.Fail("handler queue holds %d runs, capacity %d", ps.qlen, len(ps.queue))
+			return
+		}
 		for i := 0; i < ps.qlen && d.Err() == nil; i++ {
 			n := d.Int()
 			idx := d.Int()
-			if d.Err() != nil || idx < 0 || idx > n {
-				d.Fail("handler run fetchIdx %d out of range 0..%d", idx, n)
+			if d.Err() != nil || n > isa.MaxTraceLen || idx < 0 || idx > n {
+				d.Fail("handler run fetchIdx %d out of range 0..%d (at most %d)", idx, n, isa.MaxTraceLen)
 				return
 			}
 			// Already-fetched entries round trip as zero instructions; only
@@ -757,11 +807,15 @@ func (p *Pipeline) LoadState(d *snapshot.Decoder, loadInstr func(*snapshot.Decod
 		ps.SwitchStallCycles = d.U64()
 	}
 
-	// Occupancy counts are derived state, recomputed once the ROB, queues
-	// and branch stack are back.
+	// Occupancy counts and the event-driven issue state are derived,
+	// rebuilt once the ROB, queues, ready bits and branch stack are back.
+	if d.Err() != nil {
+		return
+	}
 	for _, t := range p.threads {
 		t.occ = p.countOcc(t.id)
 	}
+	p.rebuildIssue(d)
 
 	p.commitRR = d.Int()
 	p.seq = d.U64()

@@ -40,6 +40,17 @@ type thread struct {
 	// at every site that changes them so per-cycle sampling reads counts
 	// instead of scanning.
 	occ occupancy
+
+	// memQ is this context's logical section of the load/store queue
+	// (§2): its renamed, not yet issued memory operations in program
+	// order. Only the head may issue; issued ops leave from the head,
+	// squashed ones from the tail.
+	memQ []*uop
+}
+
+// memPopHead removes the head of memQ (issued, or graduated unissued).
+func (t *thread) memPopHead() {
+	t.memQ = append(t.memQ[:0], t.memQ[1:]...)
 }
 
 // occupancy is a context's resource holdings (paper Table 9): branch-stack

@@ -94,8 +94,8 @@ func (e *Engine) LoadState(d *snapshot.Decoder, loadInstr func(*snapshot.Decoder
 		return
 	}
 	pc := d.Int()
-	if d.Err() != nil || pc < 0 || pc > n {
-		d.Fail("pp trace pc %d out of range 0..%d", pc, n)
+	if d.Err() != nil || n > isa.MaxTraceLen || pc < 0 || pc > n {
+		d.Fail("pp trace pc %d out of range 0..%d (at most %d)", pc, n, isa.MaxTraceLen)
 		return
 	}
 	// Already-retired entries round trip as zero instructions; only

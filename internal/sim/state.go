@@ -93,12 +93,14 @@ func (e *Engine) ScheduleKeyedDesc(at Cycle, pos [3]uint64, d Desc, fn func()) {
 // Unlike Schedule it consumes no sequence number: the caller replays the
 // exact (at, pos, seq) triple from the snapshot so the restored heap fires
 // in the same order — and interleaves with post-restore scheduling the
-// same way — as the uninterrupted run's heap.
-func (e *Engine) RestoreEvent(at Cycle, pos [3]uint64, seq uint64, d Desc, fn func()) {
+// same way — as the uninterrupted run's heap. An event that is not in the
+// future is an error: the snapshot bytes are untrusted input.
+func (e *Engine) RestoreEvent(at Cycle, pos [3]uint64, seq uint64, d Desc, fn func()) error {
 	if at <= e.now {
-		panic(fmt.Sprintf("sim: restore event at %d but now is %d", at, e.now))
+		return fmt.Errorf("sim: restore event at %d but now is %d", at, e.now)
 	}
 	e.pushEvent(event{at: at, pos: pos, seq: seq, fn: fn, desc: e.takeDesc(d)})
+	return nil
 }
 
 // ExportState captures the engine's dynamic state for a snapshot. The

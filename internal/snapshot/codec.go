@@ -210,14 +210,26 @@ func (d *Decoder) Bytes() []byte {
 // String reads a length-prefixed string.
 func (d *Decoder) String() string { return string(d.Bytes()) }
 
+// Count reads the length prefix of a sequence whose elements each take at
+// least minSize bytes of the stream. It fails, returning 0, unless the
+// count is non-negative and the rest of the stream could hold that many
+// elements, so a corrupt count never sizes an allocation past the input.
+func (d *Decoder) Count(minSize int) int {
+	n := d.U64()
+	if d.err != nil {
+		return 0
+	}
+	if n > uint64(len(d.buf)-d.off)/uint64(minSize) {
+		d.fail("count %d exceeds remaining stream", int64(n))
+		return 0
+	}
+	return int(n)
+}
+
 // U64s reads a length-prefixed slice of uint64.
 func (d *Decoder) U64s() []uint64 {
-	n := d.U64()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(d.buf)-d.off)/8 {
-		d.fail("slice length %d exceeds remaining stream", n)
+	n := d.Count(8)
+	if n == 0 {
 		return nil
 	}
 	vs := make([]uint64, n)
@@ -229,12 +241,8 @@ func (d *Decoder) U64s() []uint64 {
 
 // Ints reads a length-prefixed slice of int.
 func (d *Decoder) Ints() []int {
-	n := d.U64()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(d.buf)-d.off)/8 {
-		d.fail("slice length %d exceeds remaining stream", n)
+	n := d.Count(8)
+	if n == 0 {
 		return nil
 	}
 	vs := make([]int, n)
@@ -246,12 +254,8 @@ func (d *Decoder) Ints() []int {
 
 // Bools reads a length-prefixed slice of bool.
 func (d *Decoder) Bools() []bool {
-	n := d.U64()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		d.fail("slice length %d exceeds remaining stream", n)
+	n := d.Count(1)
+	if n == 0 {
 		return nil
 	}
 	vs := make([]bool, n)

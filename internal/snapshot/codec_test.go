@@ -142,6 +142,7 @@ func TestRejectsOversizedLengths(t *testing.T) {
 		"Ints":  func(d *Decoder) { d.Ints() },
 		"Bools": func(d *Decoder) { d.Bools() },
 		"Bytes": func(d *Decoder) { d.Bytes() },
+		"Count": func(d *Decoder) { d.Count(1) },
 	} {
 		e := NewEncoder()
 		e.U64(math.MaxUint64) // a length prefix no stream can satisfy
@@ -149,6 +150,26 @@ func TestRejectsOversizedLengths(t *testing.T) {
 		read(d)
 		if d.Err() == nil {
 			t.Errorf("%s: oversized length accepted", name)
+		}
+	}
+}
+
+// TestCountBoundsByRemainingStream checks that a count is accepted up to
+// what the rest of the stream could hold at the element size given, and
+// rejected one past it.
+func TestCountBoundsByRemainingStream(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		want bool
+	}{{2, true}, {3, false}, {-1, false}} {
+		e := NewEncoder()
+		e.Int(c.n)
+		e.U64(7)
+		e.U64(8)
+		d := decoder(t, e.Finish())
+		got := d.Count(8)
+		if ok := d.Err() == nil; ok != c.want || (ok && got != c.n) {
+			t.Errorf("count %d over 16 bytes of 8-byte elements: got %d, err %v", c.n, got, d.Err())
 		}
 	}
 }
